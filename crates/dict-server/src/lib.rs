@@ -6,7 +6,7 @@
 //!   (`std::io` only; see the module docs for the full grammar).
 //! - [`server`] — the TCP server: thread-per-connection framing feeding an
 //!   epoch group-commit pipeline that drains through the sharded batch
-//!   engine and responds in arrival order, with bounded queues
+//!   engine and responds in arrival order, with one bounded arrival queue
 //!   (shed-on-overload) and typed degradation for quarantined shards.
 //! - [`client`] — a small blocking client used by the load generator and
 //!   the protocol/determinism batteries, with count-based exactly-once

@@ -4,20 +4,20 @@
 //! # Architecture
 //!
 //! ```text
-//! acceptor threads ──▶ per-connection reader ──▶ bounded per-shard queues
-//!   (one listener,        (parse frame,             (seq-stamped tickets,
-//!    N acceptors)          route by shard,           shed when full)
-//!                          shed/refuse typed)              │
+//! acceptor threads ──▶ per-connection reader ──▶ one bounded arrival queue
+//!   (one listener,        (parse frame,             (FIFO of tickets,
+//!    N acceptors)          shed/refuse typed)        shed when full)
+//!                                                          │
 //!                                                          ▼ epoch boundary
-//! per-connection writer ◀── response slots ◀── engine thread (drain all
-//!   (emits responses in      (one per request)    queues, merge by seq,
-//!    arrival order)                                segment walk, apply_batch)
+//! per-connection writer ◀── response slots ◀── engine thread (take the
+//!   (emits responses in      (one per request)    whole queue, segment
+//!    arrival order)                                walk, apply_batch)
 //! ```
 //!
-//! Requests accumulate in bounded per-shard queues for at most
-//! `epoch_micros` microseconds or `epoch_ops` operations, whichever first.
-//! The engine then drains *every* queue, merges the tickets by their global
-//! arrival sequence number, and walks them in that one order: point writes
+//! Requests accumulate in one bounded FIFO for at most `epoch_micros`
+//! microseconds or `epoch_ops` operations, whichever first. The engine
+//! then takes the whole queue under its lock and walks it in queue order,
+//! which is arrival order by construction: point writes
 //! accumulate into a batch (plus a this-epoch overlay so a pipelined `GET`
 //! after a `PUT` on one connection observes its own write), point reads
 //! answer from the overlay or from one batched [`ShardedDict::multi_get`]
@@ -28,12 +28,23 @@
 //!
 //! ## Why this preserves both correctness and history independence
 //!
-//! *Correctness*: no response is issued until the engine fills its slot, so
-//! every operation in an epoch is concurrent in real time and any single
-//! serial order is a valid linearization; the engine's order is global
-//! arrival (seq) order, which also embeds each connection's program order,
-//! so pipelined streams read their own writes (the oracle battery in
-//! `tests/server_protocol.rs` pins this against `BTreeMap`).
+//! *Correctness*: the engine's serial order is arrival order, epoch
+//! boundaries included. Every data and barrier request is pushed onto the
+//! one queue under one lock, so queue order *is* arrival order, and it
+//! embeds each connection's program order (a connection's single reader
+//! pushes in the order it parsed). Each epoch takes the whole queue under
+//! that same lock, so epoch k is a FIFO prefix of the stream and epoch
+//! k+1 begins exactly where it ended: every operation of epoch k precedes
+//! every operation of epoch k+1 in arrival order, and the engine finishes
+//! epoch k before it takes epoch k+1. Within an epoch, no response is
+//! issued until the engine fills its slot, so the epoch's operations are
+//! concurrent in real time and walking them in arrival order is a valid
+//! linearization. Across epochs, an operation answered before another was
+//! sent was also queued before it. Hence pipelined streams read their own
+//! writes, and a barrier (`SUCC`, `LEN`, `FLUSH`) sees every write sent
+//! before it — on its own connection or acked on another (the oracle and
+//! `SUCC`-after-`PUT` batteries in `tests/server_protocol.rs` pin this
+//! against `BTreeMap`).
 //!
 //! *History independence*: the engine only ever touches the dictionary
 //! through `multi_get`/`multi_apply`/`bulk_load` — the batch engine whose
@@ -57,9 +68,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -137,43 +148,33 @@ impl Slot {
     }
 }
 
-/// A queued operation: its global arrival sequence number, the request,
-/// the response slot its connection's writer is waiting on, and — for
-/// mutating requests from a HELLO-bound client — the `(client, token)`
-/// idempotency identity the engine dedups on.
+/// A queued operation: the request, the response slot its connection's
+/// writer is waiting on, and — for mutating requests from a HELLO-bound
+/// client — the `(client, token)` idempotency identity the engine dedups
+/// on.
 struct Ticket {
-    seq: u64,
     req: Request,
     slot: Arc<Slot>,
     idem: Option<Idem>,
 }
 
-/// One bounded shard queue (the last queue holds the order-sensitive
-/// operations that need the global view).
+/// The one bounded arrival queue, paced by [`Shared::wake`].
 struct Queue {
     ops: VecDeque<Ticket>,
     /// Set by the engine's final drain: no ticket enqueued after this can
     /// ever be drained, so enqueue refuses instead.
     closed: bool,
-}
-
-/// Epoch pacing state guarded by one mutex with a condvar: how many
-/// operations are queued across all queues and when the open epoch began.
-struct Pacing {
-    queued: usize,
+    /// When the oldest queued ticket arrived: the open epoch's start.
     epoch_open_micros: u64,
 }
 
 struct Shared {
-    dict: RwLock<ServedDict>,
+    dict: Mutex<ServedDict>,
     /// `None` once [`Server::into_persist`] has taken it back (or when the
     /// server was started without persistence) — `FLUSH` answers
     /// `UNAVAILABLE` then.
     persist: Mutex<Option<PersistentDict>>,
-    /// `shard_count + 1` queues: one per shard, plus the barrier queue.
-    queues: Vec<Mutex<Queue>>,
-    seq: AtomicU64,
-    pacing: Mutex<Pacing>,
+    queue: Mutex<Queue>,
     wake: Condvar,
     shutdown: AtomicBool,
     cfg: ServerConfig,
@@ -187,34 +188,12 @@ fn degraded(err: ShardError) -> Response {
     }
 }
 
-/// `RwLock` variants of [`hi_common::sync::locked`], same policy: shard
-/// panics are already contained (the quarantine ledger marks the shard
-/// down before the panic unwinds out of `multi_apply`), so a poisoned
-/// service lock carries no torn state worth cascading over.
-fn read_locked<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_locked<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl Shared {
-    /// Queue index for a data operation on `key`.
-    fn shard_queue(&self, key: u64) -> usize {
-        read_locked(&self.dict).shard_of(&key)
-    }
-
-    /// Queue index for order-sensitive (barrier) operations.
-    fn barrier_queue(&self) -> usize {
-        self.queues.len() - 1
-    }
-
-    /// Stamps, bounds-checks and enqueues one operation; fills the slot
+    /// Bounds-checks and enqueues one operation; fills the slot
     /// immediately with the typed shed/refusal response when the queue is
     /// full or closed.
-    fn enqueue(&self, queue: usize, req: Request, slot: &Arc<Slot>, idem: Option<Idem>) {
-        let mut q = locked(&self.queues[queue]);
+    fn enqueue(&self, req: Request, slot: &Arc<Slot>, idem: Option<Idem>) {
+        let mut q = locked(&self.queue);
         if q.closed {
             slot.fill(Response::Unavailable("server is shutting down".into()));
             return;
@@ -223,27 +202,19 @@ impl Shared {
             slot.fill(Response::Overloaded);
             return;
         }
-        // The global sequence is drawn under the queue lock, so each
-        // queue's tickets are seq-sorted and the engine's merge by seq
-        // reconstructs one total arrival order.
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        if q.ops.is_empty() {
+            q.epoch_open_micros = clock::now_micros();
+        }
         q.ops.push_back(Ticket {
-            seq,
             req,
             slot: Arc::clone(slot),
             idem,
         });
-        drop(q);
-        let mut pacing = locked(&self.pacing);
-        if pacing.queued == 0 {
-            pacing.epoch_open_micros = clock::now_micros();
-        }
-        pacing.queued += 1;
         // Wake the engine when an epoch opens (so its deadline timer
         // starts) and when the op budget fills (so it closes early).
-        let wake = pacing.queued == 1 || pacing.queued >= self.cfg.epoch_ops;
-        drop(pacing);
-        if wake {
+        let queued = q.ops.len();
+        drop(q);
+        if queued == 1 || queued >= self.cfg.epoch_ops {
             self.wake.notify_one();
         }
     }
@@ -273,23 +244,14 @@ impl Server {
         let dict: ServedDict = DictBuilder::from_config(opts.config)
             .try_build_sharded()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let shard_count = dict.shard_count();
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            dict: RwLock::new(dict),
+            dict: Mutex::new(dict),
             persist: Mutex::new(opts.persist),
-            queues: (0..=shard_count)
-                .map(|_| {
-                    Mutex::new(Queue {
-                        ops: VecDeque::new(),
-                        closed: false,
-                    })
-                })
-                .collect(),
-            seq: AtomicU64::new(0),
-            pacing: Mutex::new(Pacing {
-                queued: 0,
+            queue: Mutex::new(Queue {
+                ops: VecDeque::new(),
+                closed: false,
                 epoch_open_micros: 0,
             }),
             wake: Condvar::new(),
@@ -564,22 +526,21 @@ fn connection_reader(
             _ => None,
         };
         match req {
-            // Data operations ride the epoch pipeline, routed by shard.
-            Request::Get { key } | Request::Put { key, .. } | Request::Del { key } => {
-                let queue = shared.shard_queue(key);
-                shared.enqueue(queue, req, &slot, idem);
-            }
-            // Order-sensitive operations are barriers in the engine.
-            Request::Succ { .. } | Request::Pred { .. } | Request::Len | Request::Flush => {
-                shared.enqueue(shared.barrier_queue(), req, &slot, idem);
-            }
-            // Health management answers inline under a *read* lock: the
-            // quarantine ledger is interior-mutable and both transitions
-            // take `&self`, so re-admitting a repaired shard never needs
-            // exclusive ownership of the service (satellite contract —
-            // see ShardedDict::restore_shard).
+            // Data operations and the order-sensitive barriers ride the
+            // epoch pipeline through the one arrival queue.
+            Request::Get { .. }
+            | Request::Put { .. }
+            | Request::Del { .. }
+            | Request::Succ { .. }
+            | Request::Pred { .. }
+            | Request::Len
+            | Request::Flush => shared.enqueue(req, &slot, idem),
+            // Health management answers inline under the dictionary's
+            // mutex, so between epochs. The quarantine ledger is
+            // interior-mutable and both transitions take `&self` (see
+            // ShardedDict::restore_shard).
             Request::Health => {
-                let dict = read_locked(&shared.dict);
+                let dict = locked(&shared.dict);
                 let degraded_shards = dict
                     .health()
                     .into_iter()
@@ -595,7 +556,7 @@ fn connection_reader(
                 });
             }
             Request::Quarantine { shard, reason } => {
-                let dict = read_locked(&shared.dict);
+                let dict = locked(&shared.dict);
                 if (shard as usize) < dict.shard_count() {
                     dict.quarantine_shard(shard as usize, reason);
                     slot.fill(Response::Done);
@@ -607,7 +568,7 @@ fn connection_reader(
                 }
             }
             Request::Restore { shard } => {
-                let dict = read_locked(&shared.dict);
+                let dict = locked(&shared.dict);
                 if (shard as usize) < dict.shard_count() {
                     dict.restore_shard(shard as usize);
                     slot.fill(Response::Done);
@@ -727,76 +688,43 @@ impl DedupRegistry {
 fn engine_loop(shared: &Arc<Shared>) {
     let mut dedup = DedupRegistry::new(shared.cfg.dedup_window);
     loop {
-        let shutting = wait_for_epoch(shared);
-        let epoch = drain_epoch(shared, shutting);
+        let (epoch, closing) = next_epoch(shared);
         if !epoch.is_empty() {
             process_epoch(shared, epoch, &mut dedup);
         }
-        if shutting {
-            // Final sweep: `closed` is now set under every queue lock, so
-            // nothing can slip in after this drain.
-            let tail = drain_epoch(shared, true);
-            if !tail.is_empty() {
-                process_epoch(shared, tail, &mut dedup);
-            }
+        if closing {
             return;
         }
     }
 }
 
 /// Blocks until the open epoch is due (first-op age ≥ window, or op budget
-/// reached) or shutdown begins. Returns whether the server is shutting
-/// down.
-fn wait_for_epoch(shared: &Arc<Shared>) -> bool {
-    let mut pacing = locked(&shared.pacing);
+/// reached) or shutdown begins, then takes the whole queue: one FIFO
+/// prefix of the arrival stream. On shutdown the queue is closed under the
+/// same lock, so this drain is the last and no later enqueue can be
+/// stranded unanswered. Returns the epoch and whether it is the last.
+fn next_epoch(shared: &Shared) -> (VecDeque<Ticket>, bool) {
+    let mut q = locked(&shared.queue);
     loop {
-        let shutting = shared.shutdown.load(Ordering::SeqCst);
-        if shutting {
-            pacing.queued = 0;
-            return true;
-        }
-        if pacing.queued >= shared.cfg.epoch_ops {
-            pacing.queued = 0;
-            return false;
-        }
-        if pacing.queued > 0 {
-            let age = clock::now_micros().saturating_sub(pacing.epoch_open_micros);
-            if age >= shared.cfg.epoch_micros {
-                pacing.queued = 0;
-                return false;
-            }
-            let remaining = Duration::from_micros(shared.cfg.epoch_micros - age);
-            pacing = shared
-                .wake
-                .wait_timeout(pacing, remaining)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        } else {
-            pacing = shared
-                .wake
-                .wait_timeout(pacing, IDLE_POLL)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-    }
-}
-
-/// Drains every queue and merges the tickets into one global
-/// arrival-ordered stream. During shutdown the queues are closed under
-/// their locks first, so no later enqueue can be stranded unanswered.
-fn drain_epoch(shared: &Arc<Shared>, closing: bool) -> Vec<Ticket> {
-    let mut epoch: Vec<Ticket> = Vec::new();
-    for queue in &shared.queues {
-        let mut q = locked(queue);
-        if closing {
+        if shared.shutdown.load(Ordering::SeqCst) {
             q.closed = true;
+            return (std::mem::take(&mut q.ops), true);
         }
-        epoch.extend(q.ops.drain(..));
+        let wait = if q.ops.is_empty() {
+            IDLE_POLL
+        } else {
+            let age = clock::now_micros().saturating_sub(q.epoch_open_micros);
+            if q.ops.len() >= shared.cfg.epoch_ops || age >= shared.cfg.epoch_micros {
+                return (std::mem::take(&mut q.ops), false);
+            }
+            Duration::from_micros(shared.cfg.epoch_micros - age)
+        };
+        q = shared
+            .wake
+            .wait_timeout(q, wait)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
     }
-    // Each queue was seq-sorted (stamps drawn under the queue lock); the
-    // merge re-establishes the one total arrival order.
-    epoch.sort_by_key(|t| t.seq);
-    epoch
 }
 
 /// An idempotency identity: `(client id, token)`.
@@ -910,8 +838,8 @@ impl Segment {
     }
 }
 
-fn process_epoch(shared: &Arc<Shared>, epoch: Vec<Ticket>, dedup: &mut DedupRegistry) {
-    let mut dict = write_locked(&shared.dict);
+fn process_epoch(shared: &Arc<Shared>, epoch: VecDeque<Ticket>, dedup: &mut DedupRegistry) {
+    let mut dict = locked(&shared.dict);
     let mut segment = Segment::default();
     for ticket in epoch {
         // Exactly-once: a mutating retry whose token is still inside its
@@ -975,8 +903,8 @@ fn barrier_response(shared: &Shared, dict: &mut ServedDict, req: Request) -> Res
         Request::Len => Response::Count(dict.len() as u64),
         Request::Flush => flush_response(shared, dict),
         // Admin and data ops never reach the barrier path (readers answer
-        // admin inline and route data ops by shard); refuse defensively
-        // instead of panicking inside the engine.
+        // admin inline; the engine batches data ops into segments); refuse
+        // defensively instead of panicking inside the engine.
         _ => Response::BadRequest("operation is not a barrier".into()),
     }
 }

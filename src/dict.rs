@@ -171,9 +171,9 @@ pub struct DictConfig {
 
 /// Epoch group-commit and backpressure knobs consumed by the `dict-server`
 /// front-end: an epoch closes after `epoch_micros` microseconds or
-/// `epoch_ops` queued operations, whichever comes first, and each shard
-/// queue sheds load (typed `Overloaded` response) beyond `queue_bound`
-/// waiting operations.
+/// `epoch_ops` queued operations, whichever comes first, and the one
+/// arrival queue sheds load (typed `Overloaded` response) beyond
+/// `queue_bound` waiting operations.
 ///
 /// All four knobs live here — not as server CLI flags alone — so
 /// [`DictConfig::validate`] can reject the degenerate values *before* a
@@ -185,10 +185,11 @@ pub struct ServerConfig {
     /// waits before its epoch is forced closed.
     pub epoch_micros: u64,
     /// Epoch budget in operations (`≥ 1`): an epoch closes early once this
-    /// many operations are queued across shards.
+    /// many operations are queued.
     pub epoch_ops: usize,
-    /// Per-shard queue bound (`≥ 1`): operations beyond this shed with a
-    /// typed overload response instead of queueing unboundedly.
+    /// Arrival-queue bound (`≥ 1`), in operations across every shard:
+    /// operations beyond this shed with a typed overload response instead
+    /// of queueing unboundedly.
     pub queue_bound: usize,
     /// Accept-loop thread count (`≥ 1`).
     pub acceptors: usize,
@@ -281,7 +282,7 @@ pub enum DictConfigError {
     /// Epoch budget of 0 operations: every epoch would close before
     /// admitting a single request.
     ZeroEpochOps,
-    /// Per-shard queue bound of 0: every request would shed as overloaded.
+    /// Arrival-queue bound of 0: every request would shed as overloaded.
     ZeroQueueBound,
     /// Accept-loop thread count of 0: the server could never accept a
     /// connection.

@@ -16,6 +16,9 @@
 //!   sees a typed `UNAVAILABLE` (never a fake generation), and reopening
 //!   the file recovers *whole-old or whole-new* contents — the journaled
 //!   commit's atomicity holds when the flush is driven over the network.
+//! * **flush ordering** — a `FLUSH` persists every write sent before it:
+//!   pipelined on its own connection without waiting for acks, or acked on
+//!   another connection first. The flushed file, reopened, holds them all.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -189,6 +192,111 @@ fn concurrent_multi_client_run_flushes_the_single_threaded_image() {
 
     drop_paths(&served_data, &served_journal);
     drop_paths(&ref_data, &ref_journal);
+}
+
+/// Spawns a server flushing into a fresh store at `path`, with an epoch
+/// cut as finely as the knobs allow.
+fn spawn_flushing(path: &std::path::Path) -> Server {
+    let mut cfg = config();
+    cfg.server.epoch_micros = 1;
+    cfg.server.epoch_ops = 1;
+    Server::spawn(
+        "127.0.0.1:0",
+        ServerOptions {
+            config: cfg,
+            persist: Some(open(path)),
+        },
+    )
+    .expect("bind loopback")
+}
+
+/// Stops `server`, takes its store back, and reopens the flushed file:
+/// what a `FLUSH` committed, read from disk.
+fn flushed_contents(server: Server, path: &std::path::Path) -> BTreeMap<u64, u64> {
+    let persist = server
+        .into_persist()
+        .expect("server was spawned with a store");
+    let (data, journal) = (
+        persist.store().path().to_path_buf(),
+        persist.store().journal_path().to_path_buf(),
+    );
+    drop(persist);
+    let reopened = open(path);
+    let contents = reopened.iter().map(|(k, v)| (*k, *v)).collect();
+    drop(reopened);
+    drop_paths(&data, &journal);
+    contents
+}
+
+/// `FLUSH` is a barrier in arrival order: pipelined behind `N` `PUT`s on
+/// the same connection, without waiting for a single ack, it must persist
+/// every one of them — whatever epoch boundaries fell between them.
+#[test]
+fn pipelined_flush_includes_every_earlier_put_from_its_connection() {
+    const ROUNDS: u64 = 16;
+    const N: u64 = 256;
+    for round in 0..ROUNDS {
+        let path = temp_path(&format!("server-pipelined-flush-{round}"));
+        let server = spawn_flushing(&path);
+        let mut c = Client::connect(server.addr()).expect("connect");
+        for k in 0..N {
+            c.send(&Request::Put {
+                key: k * 13 + round,
+                value: k,
+            })
+            .expect("send");
+        }
+        c.send(&Request::Flush).expect("send");
+        c.flush().expect("flush");
+        for k in 0..N {
+            assert_eq!(c.recv().expect("recv"), Response::Done, "PUT #{k}");
+        }
+        match c.recv().expect("recv") {
+            Response::Generation(g) => assert!(g > 0),
+            other => panic!("round {round}: FLUSH answered {other:?}"),
+        }
+        drop(c);
+        let flushed = flushed_contents(server, &path);
+        let missing: Vec<u64> = (0..N)
+            .filter(|k| flushed.get(&(k * 13 + round)) != Some(k))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "round {round}: the FLUSH left out {} of the {N} PUTs sent \
+             before it (first #{:?})",
+            missing.len(),
+            missing.first()
+        );
+        assert_eq!(flushed.len() as u64, N, "round {round}");
+    }
+}
+
+/// Across connections: once connection A's `PUT`s are acked, a `FLUSH`
+/// that connection B sends afterwards must persist all of them.
+#[test]
+fn flush_on_another_connection_includes_puts_acked_before_it() {
+    const N: u64 = 512;
+    let path = temp_path("server-cross-conn-flush");
+    let server = spawn_flushing(&path);
+    let mut a = Client::connect(server.addr()).expect("connect A");
+    let mut b = Client::connect(server.addr()).expect("connect B");
+    for k in 0..N {
+        a.send(&Request::Put {
+            key: k * 7,
+            value: k + 1,
+        })
+        .expect("send");
+    }
+    a.flush().expect("flush");
+    for k in 0..N {
+        assert_eq!(a.recv().expect("recv"), Response::Done, "PUT #{k}");
+    }
+    let generation = b.flush_store().expect("FLUSH on connection B");
+    assert!(generation > 0);
+    drop((a, b));
+    let flushed = flushed_contents(server, &path);
+    let want: BTreeMap<u64, u64> = (0..N).map(|k| (k * 7, k + 1)).collect();
+    assert_eq!(flushed, want, "B's FLUSH missed writes A saw acked");
 }
 
 #[test]

@@ -9,7 +9,8 @@
 //! * **oracle** — pipelined mixed get/put/del streams, plus the barrier
 //!   operations (`SUCC`/`PRED`/`LEN`), are replayed against a `BTreeMap`
 //!   and every response must match — including reads of writes earlier in
-//!   the same pipeline;
+//!   the same pipeline, and a `SUCC` right behind its `PUT` under epochs
+//!   cut as finely as the knobs allow;
 //! * **degradation** — a quarantined shard answers `DEGRADED` for point
 //!   ops it owns and navigation it *could* own (the `try_successor` /
 //!   `try_predecessor` routing), and recovers after `RESTORE`; a saturated
@@ -257,11 +258,60 @@ fn pipelined_mixed_stream_matches_btreemap_oracle() {
     server.shutdown();
 }
 
+/// A barrier never runs in an earlier epoch than a write its own
+/// connection sent before it. A 1 µs / 1-op epoch makes the engine cut the
+/// stream as often as it can; if an epoch were anything but a prefix of
+/// one arrival-ordered stream, a `SUCC` could overtake the `PUT` just
+/// ahead of it and answer `NOT_FOUND` (keys only grow, so nothing else can
+/// satisfy it).
+#[test]
+fn succ_after_put_on_one_connection_sees_the_put() {
+    let mut cfg = config();
+    cfg.server = ServerConfig {
+        epoch_micros: 1,
+        epoch_ops: 1,
+        ..cfg.server
+    };
+    let mut server = spawn(cfg);
+    let mut c = Client::connect(server.addr()).expect("connect");
+
+    const PAIRS: u64 = 20_000;
+    const PAIRS_PER_FLUSH: u64 = 256;
+    let mut missed: Vec<(u64, Response)> = Vec::new();
+    for start in (0..PAIRS).step_by(PAIRS_PER_FLUSH as usize) {
+        let end = (start + PAIRS_PER_FLUSH).min(PAIRS);
+        for k in start..end {
+            c.send(&Request::Put {
+                key: k * 7919,
+                value: k,
+            })
+            .expect("send");
+            c.send(&Request::Succ { key: k * 7919 }).expect("send");
+        }
+        c.flush().expect("flush");
+        for k in start..end {
+            assert_eq!(c.recv().expect("recv"), Response::Done, "PUT #{k}");
+            let got = c.recv().expect("recv");
+            if got != Response::Entry(k * 7919, k) {
+                missed.push((k, got));
+            }
+        }
+    }
+    assert!(
+        missed.is_empty(),
+        "{} of {PAIRS} SUCCs ran before the PUT sent just ahead of them \
+         (first: {:?})",
+        missed.len(),
+        missed.first()
+    );
+    server.shutdown();
+}
+
 /// Quarantine semantics over the wire: point ops on the down shard refuse
 /// typed, navigation that could land there refuses typed, exact hits and
 /// provably-complete answers still flow, and `RESTORE` heals it — all via
-/// protocol ops, exercising the `&self` restore path under the server's
-/// read lock.
+/// protocol ops, exercising the `&self` restore path through a shared
+/// borrow of the served dictionary.
 #[test]
 fn quarantined_shard_refuses_typed_over_the_wire_and_restores() {
     let mut server = spawn(config());
@@ -379,40 +429,47 @@ fn quarantined_shard_refuses_typed_over_the_wire_and_restores() {
 
 /// Backpressure: a queue bound of 1 under a long epoch sheds pipelined
 /// requests with `OVERLOADED` — a typed refusal the client can retry —
-/// while everything admitted is answered correctly.
+/// while everything admitted is answered correctly. The bound covers the
+/// one arrival queue whatever the shard count, so it holds at the shipped
+/// 4 shards as well as at 1.
 #[test]
 fn saturated_queues_shed_typed_overloaded() {
-    let mut cfg = config();
-    cfg.shards = 1;
-    cfg.server = ServerConfig {
-        epoch_micros: 200_000, // 200ms: the engine stays asleep while we pile on
-        epoch_ops: 10_000,
-        queue_bound: 1,
-        ..cfg.server
-    };
-    let mut server = spawn(cfg);
-    let mut c = Client::connect(server.addr()).expect("connect");
+    for shards in [1, 4] {
+        let mut cfg = config();
+        cfg.shards = shards;
+        cfg.server = ServerConfig {
+            epoch_micros: 200_000, // 200ms: the engine stays asleep while we pile on
+            epoch_ops: 10_000,
+            queue_bound: 1,
+            ..cfg.server
+        };
+        let mut server = spawn(cfg);
+        let mut c = Client::connect(server.addr()).expect("connect");
 
-    const N: u64 = 50;
-    for k in 0..N {
-        c.send(&Request::Put { key: k, value: k }).expect("send");
-    }
-    c.flush().expect("flush");
-    let mut done = 0usize;
-    let mut shed = 0usize;
-    for _ in 0..N {
-        match c.recv().expect("recv") {
-            Response::Done => done += 1,
-            Response::Overloaded => shed += 1,
-            other => panic!("unexpected {other:?}"),
+        const N: u64 = 50;
+        for k in 0..N {
+            c.send(&Request::Put { key: k, value: k }).expect("send");
         }
+        c.flush().expect("flush");
+        let mut done = 0usize;
+        let mut shed = 0usize;
+        for _ in 0..N {
+            match c.recv().expect("recv") {
+                Response::Done => done += 1,
+                Response::Overloaded => shed += 1,
+                other => panic!("{shards} shards: unexpected {other:?}"),
+            }
+        }
+        assert!(
+            shed > 0,
+            "{shards} shards: bound-1 queue never shed across {N} pipelined puts"
+        );
+        assert!(
+            done > 0,
+            "{shards} shards: admitted requests must still complete"
+        );
+        server.shutdown();
     }
-    assert!(
-        shed > 0,
-        "bound-1 queue never shed across {N} pipelined puts"
-    );
-    assert!(done > 0, "admitted requests must still complete");
-    server.shutdown();
 }
 
 /// Shutdown answers every in-flight request: a pipeline cut off by server
